@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-smoke bench bench-kernel bench-quick bench-seed bench-cosim bench-cosim-seed bench-cosim-quick bench-cosim-check conformance conformance-quick conformance-differential conformance-coverage dse dse-quick sweep sweep-quick server server-smoke obs-smoke quickstart
+.PHONY: test lint lint-smoke bench bench-kernel bench-quick bench-seed bench-cosim bench-cosim-seed bench-cosim-quick bench-cosim-check perfbench-smoke conformance conformance-quick conformance-differential conformance-coverage dse dse-quick sweep sweep-quick server server-smoke obs-smoke quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +60,16 @@ bench-cosim-quick:
 # file's recorded acceptance verdict must be passing.
 bench-cosim-check:
 	$(PYTHON) -m benchmarks.perf.cosim --quick --check
+
+# ~4 s traced run of the job_stream benchmark workload.  Every operation's
+# output is checked; the target fails when the run's closing JSON line
+# reports incorrect output or a failed operation (also run by CI).  The
+# per-layer call counts land in .perfbench_out/.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload job_stream --seed 0 --seconds 2 --trace 1 \
+		| tee /dev/stderr | tail -n 1 | $(PYTHON) -c 'import json, sys; \
+		r = json.load(sys.stdin); ok = r["correct"] and not r["failed"]; \
+		print("perfbench-smoke:", "ok" if ok else "FAILED"); sys.exit(not ok)'
 
 # Differential conformance sweep: 270+ generated scenarios run on both the
 # production and reference kernels plus the cosim/cosyn oracles.

@@ -9,12 +9,12 @@ the paper's methodology is meant to prevent from going unnoticed:
 * missing views for the flow about to run (HW + SW simulation views for
   co-simulation, SW synthesis views for every targeted platform).
 
-Since the :mod:`repro.lint` analyzer landed, this module is a thin
-compatibility shim: the checks run on the diagnostics engine
-(``lint_model(..., legacy_only=True)``) and the historical problem strings
-are reproduced byte-for-byte from each diagnostic's ``legacy`` text.  New
-code should call ``lint_model`` directly — it also runs the dataflow, race
-and protocol passes this API never had.
+This is a view over the model's memoised lint report
+(``repro.lint.model_report``): its legacy-rule slice reproduces the
+historical problem strings byte-for-byte.  Only the view-library checks,
+which depend on *library*, run per call.  New code should read
+``model_report`` directly — it also has the dataflow, race and protocol
+findings this API never had.
 """
 
 from repro.utils.errors import ValidationError
@@ -28,11 +28,16 @@ def validate_model(model, library=None, platforms=(), raise_on_error=True):
     error additionally carries the structured diagnostics as
     ``exc.diagnostics``.
     """
-    from repro.lint import lint_model
+    from repro.lint.diagnostics import LintReport
+    from repro.lint.engine import model_report
+    from repro.lint.interface import view_pass
 
-    report = lint_model(model, library=library, platforms=platforms,
-                        legacy_only=True)
-    problems = [diagnostic.legacy_text for diagnostic in report.diagnostics]
+    diagnostics = list(model_report(model, legacy_only=True).legacy)
+    if library is not None:
+        views = LintReport()
+        view_pass(model, library, platforms, views)
+        diagnostics += views.diagnostics
+    problems = [diagnostic.legacy_text for diagnostic in diagnostics]
     if problems and raise_on_error:
-        raise ValidationError(problems, diagnostics=report.diagnostics)
+        raise ValidationError(problems, diagnostics=diagnostics)
     return problems

@@ -28,6 +28,7 @@ from repro.core.module import HardwareModule, SoftwareModule
 from repro.core.validation import validate_model
 from repro.desim import Timeout, WaveformRecorder, create_simulator
 from repro.ir.interp import DEFAULT_FSM_MODE, FSM_MODES, FsmInstance
+from repro.lint.engine import model_report
 from repro.ir.syscompile import (
     DEFAULT_SYSTEM_MODE,
     SYSTEM_MODES,
@@ -102,11 +103,9 @@ class CosimSession:
 
     def __init__(self, model, library=None, clock_period=100,
                  sw_activation_period=None, activation_policy=None,
-                 validate=True, trace_signals=True, kernel="production",
-                 fsm_mode=None, detect_races=False, system_mode=None,
-                 system_lint=True, system_cache=None):
-        if validate:
-            validate_model(model, library=library)
+                 trace_signals=True, kernel="production", fsm_mode=None,
+                 detect_races=False, system_mode=None, system_cache=None):
+        validate_model(model, library=library)
         self.model = model
         self.library = library
         self.clock_period = clock_period
@@ -140,7 +139,6 @@ class CosimSession:
             fsm_mode = "interpreted"
         self.fsm_mode = fsm_mode
         self.system_mode = system_mode
-        self.system_lint = system_lint
         self.system_cache = system_cache
         self.detect_races = detect_races
         #: Resolved at build time: the tier actually wired ("fused",
@@ -247,24 +245,30 @@ class CosimSession:
 
         Requested "fused"/"differential" degrade to the per-FSM wiring —
         with :attr:`system_fallback_reason` recording why — when the model
-        carries un-fusable constructs, lint errors (``system_lint=True``)
-        or the kernel runs with ``detect_races`` (write-race attribution
-        needs one kernel process per writer, which fusing removes).
+        carries un-fusable constructs, error-level findings in its lint
+        report (:func:`repro.lint.model_report`) or the kernel runs with
+        ``detect_races`` (write-race attribution needs one kernel process
+        per writer, which fusing removes).
         """
         self._system_wiring = "per-fsm"
         if self.system_mode in ("per-fsm", "interpreted"):
             self.system_tier = self.system_mode
             return
         program = None
+        errors = () if self.detect_races else model_report(self.model).errors
         if self.detect_races:
             self.system_fallback_reason = (
                 "detect_races attributes writes to kernel processes; the "
                 "fused step merges them"
             )
+        elif errors:
+            self.system_fallback_reason = (
+                "lint errors refuse whole-system compilation: "
+                + "; ".join(error.legacy_text for error in errors)
+            )
         else:
             try:
-                program = compile_system(self.model, cache=self.system_cache,
-                                         lint=self.system_lint)
+                program = compile_system(self.model, cache=self.system_cache)
             except SystemCompileError as exc:
                 self.system_fallback_reason = str(exc)
         if program is None:

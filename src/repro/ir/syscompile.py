@@ -75,9 +75,9 @@ SOURCE_FORMAT = 3
 class SystemCompileError(SimulationError):
     """The model cannot be fused into a whole-system program.
 
-    Raised at compile time (unknown IR node, port not wired, lint errors
-    with ``lint=True``); the session reacts by falling back to the per-FSM
-    wiring and recording the reason — never by changing behaviour.
+    Raised at compile time (unknown IR node, port not wired); the session
+    reacts by falling back to the per-FSM wiring and recording the reason —
+    never by changing behaviour.
     """
 
 
@@ -227,7 +227,6 @@ class SystemPlan:
     """
 
     def __init__(self, model):
-        self.model = model
         self.candidates = []
         self.accessor_keys = []     # ("ctrl", unit, ctrl) | ("hw", module)
         self.adapter_keys = []      # hardware module names
@@ -610,6 +609,8 @@ def generate_system_source(model, plan=None):
         else:
             lines.append(f"            OUT[{i}] = None")
             lines.append("            break")
+    if not plan.candidates:
+        lines.append("        pass")
     lines.append("    return _shadow")
     lines.append("")
     shadow_body = lines
@@ -807,39 +808,15 @@ class ShadowChecker:
 
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = {}                             # digest -> code object
-_LINT_CACHE = weakref.WeakKeyDictionary()    # model -> tuple of error texts
 
 
-def lint_errors(model):
-    """Error-level lint diagnostics of *model* (weakly cached texts)."""
-    cached = _LINT_CACHE.get(model)
-    if cached is None:
-        from repro.lint import lint_model
+def compile_system(model, cache=None):
+    """The (cached) whole-system program of *model*: codegen only.
 
-        report = lint_model(model)
-        cached = tuple(diagnostic.legacy_text
-                       for diagnostic in report.errors)
-        _LINT_CACHE[model] = cached
-    return cached
-
-
-def compile_system(model, cache=None, lint=True):
-    """The (cached) whole-system program of *model*.
-
-    *lint* runs the static analyzer first: error-level findings refuse
-    compilation (:class:`SystemCompileError`) exactly as they refuse
-    sweep/server jobs — callers that already linted pass ``lint=False``.
     *cache* (an :class:`~repro.sweep.cache.ArtifactCache` or a directory
     path) persists the generated source keyed by the model digest, so a
-    warm worker skips codegen.
+    warm worker skips codegen.  Lint refusals are the session's concern.
     """
-    if lint:
-        errors = lint_errors(model)
-        if errors:
-            raise SystemCompileError(
-                "lint errors refuse whole-system compilation: "
-                + "; ".join(errors)
-            )
     program = _SYSTEM_CACHE.get(model)
     if program is not None:
         return program

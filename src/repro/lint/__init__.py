@@ -6,13 +6,12 @@ protocol misuse — *before* simulation or synthesis.  ``lint_model`` returns
 a :class:`LintReport` of structured :class:`Diagnostic` objects; the rule
 catalog lives in :mod:`repro.lint.rules` and ``docs/lint.md``.
 
-``python -m repro.lint`` is the command-line front end;
-``core.validation.validate_model`` is a thin compatibility shim over the
-same engine.
+``model_report`` is the one owner of a model's lint result (see
+:mod:`repro.lint.engine`); ``python -m repro.lint`` is the CLI front end.
 """
 
 from repro.lint.diagnostics import Diagnostic, LintReport, SEVERITIES
-from repro.lint.engine import lint_model
+from repro.lint.engine import lint_model, model_report
 from repro.lint.races import collect_write_contexts, static_race_signals
 from repro.lint.rules import LEGACY_RULES, RULES, RULES_BY_ID
 
@@ -21,6 +20,7 @@ __all__ = [
     "LintReport",
     "SEVERITIES",
     "lint_model",
+    "model_report",
     "collect_write_contexts",
     "static_race_signals",
     "RULES",

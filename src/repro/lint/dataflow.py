@@ -4,8 +4,8 @@ Two families:
 
 * **structural** (FSM001–FSM005) — the checks :func:`repro.ir.transform.check_fsm`
   performs, re-emitted as structured diagnostics.  The emission order and the
-  message text replicate ``check_fsm`` exactly so the ``validate_model``
-  compatibility shim can reproduce its historical strings byte-for-byte.
+  message text replicate ``check_fsm`` exactly so ``validate_model`` can
+  reproduce its historical strings byte-for-byte.
 * **dataflow** (DF001–DF004) — use-before-init detection via a forward
   must-be-assigned analysis over the transition graph, dead-store detection,
   and statically-false / shadowed transition guards via interval evaluation

@@ -55,8 +55,8 @@ class Diagnostic:
         contexts, ...); must be JSON-serialisable.
     legacy:
         Optional exact string the old ``validate_model`` API produced for
-        this finding; used by the compatibility shim so existing callers
-        keep seeing byte-identical problem strings.
+        this finding; used by ``validate_model`` so existing callers keep
+        seeing byte-identical problem strings.
     """
 
     __slots__ = ("rule", "severity", "path", "message", "data", "legacy")
@@ -112,6 +112,8 @@ class LintReport:
         self.target = target
         self.diagnostics = []
         self.suppressed = []
+        self.legacy = ()        # legacy-rule findings, never suppressed
+        self.complete = False   # False when only the legacy passes ran
 
     # ----------------------------------------------------------------- build
 

@@ -1,11 +1,16 @@
 """The lint engine: runs every pass over a :class:`SystemModel`.
 
-``lint_model`` is the single entry point used by the CLI, the conformance
-kit's pre-flight stage, the sweep/server jobs and the ``validate_model``
-compatibility shim.  The legacy-rule passes run first and in exactly the
-order the old string-based validator reported problems, so the shim can
-reproduce its output byte-for-byte from the diagnostics' ``legacy`` texts.
+The legacy-rule passes run first and in exactly the order the old
+string-based validator reported problems; the report keeps that slice
+(:attr:`LintReport.legacy`) so ``validate_model`` reproduces its output
+byte-for-byte.  :func:`model_report` memoises one report per model object —
+read by ``validate_model``, the co-simulation session and the sweep/server
+jobs — so a job lints its model once.  Like ``model_digest`` and the
+whole-system program cache, it assumes a model is not mutated after its
+first lint.
 """
+
+import weakref
 
 from repro.core.module import HardwareModule, SoftwareModule
 from repro.lint import dataflow, interface, protocol, races
@@ -63,8 +68,9 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     old ``validate_model``).  *disable* silences whole rules; *suppress*
     takes suppression entries (``"RULE"`` / ``"RULE:fragment"``).  With
     *legacy_only* true, only the rules the historical validator covered run
-    and no suppression filtering is applied — the strict mode the
-    ``validate_model`` shim uses.
+    and no suppression filtering is applied.  Either way the legacy-rule
+    findings are kept, unsuppressed, as :attr:`LintReport.legacy` — the
+    slice ``validate_model`` reports.
     """
     report = LintReport(target=model.name)
 
@@ -99,6 +105,7 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     interface.binding_pass(model, report)
     if library is not None:
         interface.view_pass(model, library, platforms, report)
+    report.legacy = tuple(report.diagnostics)
 
     if legacy_only:
         return report
@@ -137,4 +144,23 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     entries = _collect_suppressions(model, suppress)
     entries += [(rule, "") for rule in disable]
     report.apply_suppressions(entries)
+    report.complete = True
+    return report
+
+
+_REPORTS = weakref.WeakKeyDictionary()  # model -> LintReport (no model refs)
+
+
+def model_report(model, legacy_only=False):
+    """The memoised default :class:`LintReport` of *model*; treat as read-only.
+
+    A *legacy_only* request on a model nobody has linted runs only the
+    legacy passes; a full request on such an entry re-lints and replaces
+    it.  View-library checks are not part of the entry (they depend on the
+    caller's library, see ``validate_model``).
+    """
+    report = _REPORTS.get(model)
+    if report is None or not (report.complete or legacy_only):
+        report = lint_model(model, legacy_only=legacy_only)
+        _REPORTS[model] = report
     return report

@@ -2,8 +2,8 @@
 
 ``docs/lint.md`` renders this table with examples; the CLI's ``--disable``
 and the ``lint_suppress`` attributes reference rules by id.  Rules marked
-*legacy* are the ones the pre-diagnostics ``validate_model`` reported — the
-compatibility shim runs exactly this subset.
+*legacy* are the ones the pre-diagnostics ``validate_model`` reported — it
+still reports exactly this subset.
 """
 
 from collections import namedtuple
@@ -47,7 +47,7 @@ RULES = [
 
 RULES_BY_ID = {rule.rule: rule for rule in RULES}
 
-#: The subset the ``validate_model`` compatibility shim runs.
+#: The subset ``validate_model`` reports.
 LEGACY_RULES = frozenset(rule.rule for rule in RULES if rule.legacy)
 
 

@@ -37,30 +37,6 @@ deterministic report entry and *payload* the cacheable artefact (or None).
 from repro.utils.canonical import content_digest
 
 
-def _lint_preflight(model, no_lint):
-    """Lint *model* before running a job; returns the report summary dict.
-
-    Error-level findings abort the job with a
-    :class:`~repro.utils.errors.ValidationError` (surfacing as the job's
-    error record) unless *no_lint* is set, in which case the lint step is
-    skipped entirely and ``None`` is recorded.  Warnings never refuse a
-    job; they are visible in the recorded summary.
-    """
-    if no_lint:
-        return None
-    from repro.lint import lint_model
-    from repro.utils.errors import ValidationError
-
-    report = lint_model(model)
-    errors = report.errors
-    if errors:
-        raise ValidationError(
-            [diagnostic.legacy_text for diagnostic in errors],
-            diagnostics=errors,
-        )
-    return report.summary()
-
-
 class SweepJob:
     """Base class: identity, naming and error records shared by all kinds."""
 
@@ -92,6 +68,26 @@ class SweepJob:
         record["name"] = self.name
         record["error"] = None
         return record
+
+    def _lint_summary(self, model):
+        """Pre-flight: the summary of *model*'s memoised lint report.
+
+        Error-level findings refuse the job (a ``ValidationError`` error
+        record); warnings only show in the summary.  ``None`` with no_lint.
+        """
+        if self.no_lint:
+            return None
+        from repro.lint import model_report
+        from repro.utils.errors import ValidationError
+
+        report = model_report(model)
+        errors = report.errors
+        if errors:
+            raise ValidationError(
+                [diagnostic.legacy_text for diagnostic in errors],
+                diagnostics=errors,
+            )
+        return report.summary()
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
@@ -226,20 +222,16 @@ class CosimJob(SweepJob):
         batch = f"*{self.batch}" if self.batch is not None else ""
         return f"cosim-{self.seed}{suffix}{fault}{batch}@{self.kernel}"
 
-    def _session(self, system, model=None, scenario_index=0,
-                 validate=True):
+    def _session(self, system, model, scenario_index):
         from repro.cosim import CosimSession
         from repro.cosim.faults import default_fault_window, plan_for_unit
 
-        if model is None:
-            model = system.build_model()
         session = CosimSession(model, kernel=self.kernel,
                                fsm_mode=self.fsm_mode,
                                system_mode=self.system_mode,
-                               validate=validate,
                                **system.cosim_params)
         if self.fault_kind is not None:
-            units = list(session.model.comm_units.values())
+            units = list(model.comm_units.values())
             unit = units[self.fault_unit_index % len(units)]
             at, duration = default_fault_window(
                 system.cosim_params["clock_period"])
@@ -248,8 +240,7 @@ class CosimJob(SweepJob):
                                                  at=at, duration=duration))
         return session
 
-    def _run_scenario(self, system, model=None, scenario_index=0,
-                      validate=True):
+    def _run_scenario(self, system, model, scenario_index):
         """One co-simulated scenario; returns ``(entry, coverage_or_none)``.
 
         *entry* is the deterministic per-scenario report fragment — the
@@ -272,15 +263,14 @@ class CosimJob(SweepJob):
         from repro.testkit.scenarios import FAULT_MAX_TIME
 
         coverage = CoverageMap() if self.coverage else None
-        session = self._session(system, model=model,
-                                scenario_index=scenario_index,
-                                validate=validate)
+        session = self._session(system, model, scenario_index)
         if coverage is not None:
             attach_session(session, coverage)
         if self.checkpoint_at is not None:
             session.run(until=self.checkpoint_at)
             checkpoint = session.save()
-            session = self._session(system).restore(checkpoint)
+            session = self._session(system, model,
+                                    scenario_index).restore(checkpoint)
             if coverage is not None:
                 # Rewire the observers onto the restored instances; the
                 # map keeps accumulating across the checkpoint boundary.
@@ -329,38 +319,25 @@ class CosimJob(SweepJob):
         from repro.testkit.models import generate_system
 
         system = generate_system(self.seed, networks=self.networks)
+        # One model serves the pre-flight and every session (batch scenarios
+        # and checkpoint restores included): lint, build and codegen each
+        # happen once per job, which is where batching's speed-up comes from.
+        model = system.build_model()
+        lint = self._lint_summary(model)
+        scenarios = []
+        coverages = []
+        for index in range(self.batch or 1):
+            entry, coverage = self._run_scenario(system, model, index)
+            scenarios.append(entry)
+            if coverage is not None:
+                coverages.append(coverage)
+        record = self._base_record()
         if self.batch is None:
-            lint = _lint_preflight(system.build_model(), self.no_lint)
-            entry, coverage = self._run_scenario(system)
-            record = self._base_record()
-            record.update(entry)
-            # Lint pre-flight summary (None when skipped via no_lint); an
-            # error-level finding never reaches here — the job refuses.
-            record["lint"] = lint
-            coverages = [] if coverage is None else [coverage]
+            record.update(scenarios[0])
         else:
-            # One model object serves the whole batch: generation, the lint
-            # pre-flight and the whole-system compile (weakly cached per
-            # model in repro.ir.syscompile) all happen once, which is where
-            # the batched speed-up over N standalone jobs comes from.
-            model = system.build_model()
-            lint = _lint_preflight(model, self.no_lint)
-            scenarios = []
-            coverages = []
-            for index in range(self.batch):
-                # The shared model is validated once (scenario 0); model
-                # validation is read-only, so skipping the re-check on the
-                # same object cannot change any observable.
-                entry, coverage = self._run_scenario(
-                    system, model=model, scenario_index=index,
-                    validate=index == 0)
-                entry["index"] = index
-                scenarios.append(entry)
-                if coverage is not None:
-                    coverages.append(coverage)
-            record = self._base_record()
             fsm_totals = {}
-            for entry in scenarios:
+            for index, entry in enumerate(scenarios):
+                entry["index"] = index
                 for key, value in entry["fsm"].items():
                     fsm_totals[key] = fsm_totals.get(key, 0) + value
             survivals = [entry["fault_survival"] for entry in scenarios
@@ -385,8 +362,10 @@ class CosimJob(SweepJob):
                 ),
                 "fault_survival": (sum(survivals) / len(survivals)
                                    if survivals else None),
-                "lint": lint,
             })
+        # Lint pre-flight summary (None when skipped via no_lint); an
+        # error-level finding never reaches here — the job refuses.
+        record["lint"] = lint
         payload = None
         if coverages:
             record["cached"] = False
@@ -455,7 +434,7 @@ class CosynJob(SweepJob):
         # Lint the model actually synthesized (post-repartition): the
         # summary travels in the payload so a cache-served record carries
         # the same lint evidence as a fresh one.
-        lint = _lint_preflight(model, self.no_lint)
+        lint = self._lint_summary(model)
         result = CosynthesisFlow(model, get_platform(self.platform)).run()
         payload = result.as_dict(include_text=True)
         payload["lint"] = lint

@@ -7,7 +7,7 @@ interpreter, on both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
 scenario families), plus the machinery around it: the differential
 shadow oracle, batched multi-scenario execution, source caching, the
-lint pre-flight refusal path and the tier counters.
+session's lint refusal path and the tier counters.
 
 The full 334-scenario sweep across all three tiers runs via
 ``python -m repro.testkit --system-mode differential``; here the same
@@ -18,13 +18,13 @@ import pytest
 
 from repro.cosim import CosimSession
 from repro.ir import (
-    SystemCompileError,
     compile_system,
     generate_system_source,
     model_digest,
     system_spec,
 )
 from repro.ir.syscompile import SOURCE_FORMAT, SystemProgram
+from repro.lint import lint_model
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.jobs import CosimJob
@@ -121,6 +121,19 @@ class TestSessionModes:
         session.build()
         assert session.system_tier == "per-fsm"
         assert "detect_races" in session.system_fallback_reason
+
+    @pytest.mark.parametrize("system_mode", ["fused", "differential"])
+    def test_system_without_fused_candidates_runs(self, system_mode):
+        # Seed 100020 is all-software on shared registers: no controller or
+        # hardware FSM to fuse, so the generated shadow body is empty.
+        model = generate_system(100020).build_model()
+        program = compile_system(model)
+        assert program.candidates == [] and program.process_count == 0
+        record, _ = CosimJob(100020, system_mode=system_mode).execute()
+        assert record["error"] is None
+        assert record["functional_problems"] == []
+        assert record["sw_finished_all"] is True
+        assert record["system_mode"] == system_mode
 
     def test_differential_session_runs_clean_on_a_real_model(self):
         session = CosimSession(generate_system(3).build_model(),
@@ -274,12 +287,21 @@ class TestLintPreflight:
         builder, rule = MUTANTS["dup-writer"]
         return builder()
 
-    def test_lint_errors_refuse_compilation(self):
-        with pytest.raises(SystemCompileError, match="lint errors"):
-            compile_system(self._mutant_model())
+    @pytest.mark.parametrize("system_mode", ["fused", "differential"])
+    def test_lint_errors_refuse_fusion_at_session_level(self, system_mode):
+        model = self._mutant_model()
+        errors = lint_model(model).errors
+        assert errors
+        session = CosimSession(model, system_mode=system_mode).build()
+        assert session.system_tier == "per-fsm"
+        assert session.system_program is None
+        assert session.system_fallback_reason == (
+            "lint errors refuse whole-system compilation: "
+            + "; ".join(error.legacy_text for error in errors)
+        )
 
-    def test_lint_false_bypasses_the_preflight(self):
-        program = compile_system(self._mutant_model(), lint=False)
+    def test_compile_system_is_codegen_only(self):
+        program = compile_system(self._mutant_model())
         assert isinstance(program, SystemProgram)
 
     def test_session_degrades_to_per_fsm_with_reason(self):
