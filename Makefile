@@ -47,7 +47,7 @@ bench-cosim:
 
 # Record the interpreted-tier baseline the cosim speedups compare against.
 bench-cosim-seed:
-	$(PYTHON) -m benchmarks.perf.cosim --label seed --fsm-mode interpreted --repeats 2
+	$(PYTHON) -m benchmarks.perf.cosim --label seed --system-mode interpreted --repeats 2
 
 # Smoke run of the cosim harness (no file writes).
 bench-cosim-quick:

@@ -27,7 +27,7 @@ from repro.cosim.tracing import ServiceCallTrace
 from repro.core.module import HardwareModule, SoftwareModule
 from repro.core.validation import validate_model
 from repro.desim import Timeout, WaveformRecorder, create_simulator
-from repro.ir.interp import DEFAULT_FSM_MODE, FSM_MODES, FsmInstance
+from repro.ir.interp import FsmInstance
 from repro.lint.engine import model_report
 from repro.ir.syscompile import (
     DEFAULT_SYSTEM_MODE,
@@ -103,7 +103,7 @@ class CosimSession:
 
     def __init__(self, model, library=None, clock_period=100,
                  sw_activation_period=None, activation_policy=None,
-                 trace_signals=True, kernel="production", fsm_mode=None,
+                 trace_signals=True, kernel="production",
                  detect_races=False, system_mode=None, system_cache=None):
         validate_model(model, library=library)
         self.model = model
@@ -113,13 +113,6 @@ class CosimSession:
         self.activation_policy = activation_policy or OneTransitionPerActivation()
         self.trace_signals = trace_signals
         self.kernel = kernel
-        explicit_fsm_mode = fsm_mode
-        if fsm_mode is None:
-            fsm_mode = DEFAULT_FSM_MODE
-        if fsm_mode not in FSM_MODES:
-            raise SimulationError(
-                f"unknown fsm_mode {fsm_mode!r}; expected one of {FSM_MODES}"
-            )
         if system_mode is None:
             system_mode = DEFAULT_SYSTEM_MODE
         if system_mode not in SYSTEM_MODES:
@@ -127,17 +120,11 @@ class CosimSession:
                 f"unknown system_mode {system_mode!r}; "
                 f"expected one of {SYSTEM_MODES}"
             )
-        if system_mode == "interpreted":
-            # The interpreted system tier means *everything* runs on the
-            # tree-walking oracle; a session asking for compiled FSMs inside
-            # it is contradictory.
-            if explicit_fsm_mode == "compiled":
-                raise SimulationError(
-                    'system_mode="interpreted" forces fsm_mode="interpreted"; '
-                    'drop the explicit fsm_mode="compiled"'
-                )
-            fsm_mode = "interpreted"
-        self.fsm_mode = fsm_mode
+        # The one tier axis also picks how each FsmInstance steps: the
+        # interpreted tier runs everything on the tree-walking oracle,
+        # every other tier runs the compiled per-FSM programs.
+        self._fsm_tier = ("interpreted" if system_mode == "interpreted"
+                          else "compiled")
         self.system_mode = system_mode
         self.system_cache = system_cache
         self.detect_races = detect_races
@@ -375,7 +362,7 @@ class CosimSession:
                 accessor = SignalPortAccessor(self.simulator, signals,
                                               writer=f"{unit.name}.{controller.name}")
                 instance = FsmInstance(controller.fsm, ports=accessor,
-                                       mode=self.fsm_mode)
+                                       mode=self._fsm_tier)
                 self.controller_instances[f"{unit.name}.{controller.name}"] = instance
                 if register:
                     self.simulator.add_clocked_process(
@@ -395,7 +382,7 @@ class CosimSession:
                 ServiceInstance(
                     module.name, unit.service(service_name), unit.name, accessor,
                     trace=self.trace, time_fn=lambda: self.simulator.now,
-                    fsm_mode=self.fsm_mode,
+                    mode=self._fsm_tier,
                 )
             )
         return registry
@@ -413,7 +400,7 @@ class CosimSession:
             registry = self._registry_for(module, software=False)
             self.hw_adapters[module.name] = HardwareAdapter(
                 module, self.simulator, self.clock, accessor, registry,
-                fsm_mode=self.fsm_mode,
+                mode=self._fsm_tier,
                 register=self._system_wiring != "fused",
             )
 
@@ -422,7 +409,7 @@ class CosimSession:
             registry = self._registry_for(module, software=True)
             executor = SoftwareExecutor(module, registry,
                                         policy=self.activation_policy,
-                                        fsm_mode=self.fsm_mode)
+                                        mode=self._fsm_tier)
             self.sw_executors[module.name] = executor
             period = module.activation_period or self.sw_activation_period
 
@@ -452,7 +439,7 @@ class CosimSession:
         """Build if needed, run the simulation and return a :class:`CosimResult`."""
         self.build()
         with TELEMETRY.span("cosim.run", cat="cosim", system=self.model.name,
-                            kernel=self.kernel, fsm_mode=self.fsm_mode):
+                            kernel=self.kernel):
             end_time = self.simulator.run(until=until, max_time=max_time)
         result = CosimResult(self, end_time)
         if TELEMETRY.enabled:
@@ -470,8 +457,7 @@ class CosimSession:
         """
         self.build()
         with TELEMETRY.span("cosim.run_until_software_done", cat="cosim",
-                            system=self.model.name, kernel=self.kernel,
-                            fsm_mode=self.fsm_mode):
+                            system=self.model.name, kernel=self.kernel):
             while self.simulator.now < max_time:
                 target = min(
                     ((self.simulator.now // check_every) + 1) * check_every,
@@ -497,7 +483,7 @@ class CosimSession:
         the previous flush — each simulated event is counted exactly once
         no matter how the run was sliced.
         """
-        labels = {"kernel": self.kernel, "fsm_mode": self.fsm_mode,
+        labels = {"kernel": self.kernel,
                   "system_mode": self.system_tier or self.system_mode}
         metrics = TELEMETRY.metrics
         fsm = self.fsm_counters()
@@ -558,9 +544,6 @@ class CosimSession:
             "format": 1,
             "system": self.model.name,
             "kernel": self.kernel,
-            # Informational only: compiled and interpreted execution are
-            # byte-identical, so a checkpoint restores into either tier.
-            "fsm_mode": self.fsm_mode,
             # NOT informational: system wiring modes register different
             # kernel processes, so a checkpoint only restores into a
             # session wired the same way.

@@ -41,13 +41,7 @@ from repro.ir.expr import (
 from repro.ir.stmt import Stmt, Assign, PortWrite, If, Nop
 from repro.ir.fsm import Fsm, State, Transition, ServiceCall, VarDecl
 from repro.ir.builder import FsmBuilder
-from repro.ir.interp import (
-    DEFAULT_FSM_MODE,
-    FSM_MODES,
-    FsmInstance,
-    evaluate,
-    execute,
-)
+from repro.ir.interp import FsmInstance, evaluate, execute
 from repro.ir.compile import CompileError, CompiledFsm, compile_fsm
 from repro.ir.printer import format_fsm, format_expr, format_stmt
 from repro.ir.transform import (
@@ -87,8 +81,6 @@ __all__ = [
     "VarDecl",
     "FsmBuilder",
     "FsmInstance",
-    "DEFAULT_FSM_MODE",
-    "FSM_MODES",
     "CompileError",
     "CompiledFsm",
     "compile_fsm",

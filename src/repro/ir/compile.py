@@ -26,7 +26,8 @@ same values, same port read/write sequence (``and``/``or`` do not
 short-circuit, exactly like ``evaluate``), same exception types and
 messages, same :class:`~repro.ir.interp.StepResult` stream.  The
 differential suite in ``tests/test_ir_compile.py`` and the conformance
-kit's ``--fsm-mode`` pin that equivalence.
+kit's ``--system-mode differential`` (compiled tiers against the
+``interpreted`` one) pin that equivalence.
 
 Programs are cached per :class:`~repro.ir.fsm.Fsm` in a weak-key map and
 shared by every :class:`~repro.ir.interp.FsmInstance` of that FSM; the

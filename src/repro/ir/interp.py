@@ -30,10 +30,10 @@ from repro.utils.errors import SimulationError
 #: Execution tiers understood by :class:`FsmInstance`.  ``compiled`` (the
 #: default) runs the per-FSM program generated by :mod:`repro.ir.compile`;
 #: ``interpreted`` walks the IR tree through :func:`evaluate`/:func:`execute`
-#: and is kept as the differential oracle (``--fsm-mode`` in the testkit).
+#: and is kept as the differential oracle.  A co-simulation session picks
+#: the tier from its ``system_mode``: ``interpreted`` there means
+#: interpreted FSMs, every other system tier steps compiled programs.
 FSM_MODES = ("compiled", "interpreted")
-
-DEFAULT_FSM_MODE = "compiled"
 
 #: Default cap on the ``trace=True`` step history.  A ring buffer of the
 #: most recent steps keeps long sweeps bounded in memory; pass
@@ -195,15 +195,14 @@ class FsmInstance:
     """
 
     def __init__(self, fsm, ports=None, call_handler=None, reset_on_done=False,
-                 trace=False, mode=None, history_limit=DEFAULT_HISTORY_LIMIT):
+                 trace=False, mode="compiled",
+                 history_limit=DEFAULT_HISTORY_LIMIT):
         self.fsm = fsm
         self.ports = ports or NullPortAccessor()
         self.call_handler = call_handler
         self.reset_on_done = reset_on_done
         self.trace = trace
         self.history_limit = history_limit
-        if mode is None:
-            mode = DEFAULT_FSM_MODE
         if mode not in FSM_MODES:
             raise SimulationError(
                 f"unknown FSM execution mode {mode!r}; expected one of {FSM_MODES}"

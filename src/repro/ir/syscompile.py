@@ -50,6 +50,7 @@ matrix covers those end to end.
 """
 
 import weakref
+from collections import OrderedDict
 
 from repro.ir.compile import _BINOP_TEMPLATES, _UNOP_TEMPLATES, _expr_var_reads, _stmt_var_reads
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
@@ -685,6 +686,10 @@ class SystemProgram:
         if code is None:
             code = compile(source, f"<syscompile:{model.name}>", "exec")
             _CODE_CACHE[digest] = code
+            if len(_CODE_CACHE) > CODE_CACHE_SIZE:
+                _CODE_CACHE.popitem(last=False)
+        else:
+            _CODE_CACHE.move_to_end(digest)
         namespace = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
         self._bind_fused = namespace["_bind_fused"]
@@ -806,8 +811,13 @@ class ShadowChecker:
 # ------------------------------------------------------------------- caches
 
 
+#: Compiled code objects kept for distinct model digests.  Beyond this
+#: many the least recently used one is dropped, so a long-lived server or
+#: pool worker does not grow with every model it has ever seen.
+CODE_CACHE_SIZE = 64
+
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
-_CODE_CACHE = {}                             # digest -> code object
+_CODE_CACHE = OrderedDict()                  # digest -> code object, LRU
 
 
 def compile_system(model, cache=None):

@@ -37,6 +37,32 @@ deterministic report entry and *payload* the cacheable artefact (or None).
 from repro.utils.canonical import content_digest
 
 
+def _checked_kernel(kernel):
+    """*kernel* if it names a registered simulator, else ``ValueError``."""
+    from repro.desim import KERNELS
+
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; "
+                         f"available: {sorted(KERNELS)}")
+    return kernel
+
+
+def _checked_system_mode(system_mode):
+    """The resolved system tier, or ``ValueError`` for an unknown one.
+
+    Resolved at construction so the job spec — the report/replay identity —
+    stays explicit even if the project default flips.
+    """
+    from repro.ir.syscompile import DEFAULT_SYSTEM_MODE, SYSTEM_MODES
+
+    if system_mode is None:
+        return DEFAULT_SYSTEM_MODE
+    if system_mode not in SYSTEM_MODES:
+        raise ValueError(f"unknown system_mode {system_mode!r}; "
+                         f"available: {SYSTEM_MODES}")
+    return system_mode
+
+
 class SweepJob:
     """Base class: identity, naming and error records shared by all kinds."""
 
@@ -106,7 +132,7 @@ class KernelJob(SweepJob):
                              f"available: {sorted(SIZES)}")
         self.size = size
         self.seed = int(seed)
-        self.kernel = kernel
+        self.kernel = _checked_kernel(kernel)
 
     def spec(self):
         return {"kind": self.kind, "size": self.size, "seed": self.seed,
@@ -150,22 +176,13 @@ class CosimJob(SweepJob):
     kind = "cosim"
 
     def __init__(self, seed, networks=None, kernel="production", until=None,
-                 checkpoint_at=None, fsm_mode=None, system_mode=None,
+                 checkpoint_at=None, system_mode=None,
                  coverage=False, fault_kind=None, fault_unit_index=0,
                  no_lint=False, batch=None, fault_at_offset=0):
         self.seed = int(seed)
         self.networks = None if networks is None else int(networks)
-        self.kernel = kernel
-        # Resolved at construction so the job spec — the report/replay
-        # identity — stays explicit even if the project default flips.
-        if fsm_mode is None:
-            from repro.ir.interp import DEFAULT_FSM_MODE
-            fsm_mode = DEFAULT_FSM_MODE
-        self.fsm_mode = fsm_mode
-        if system_mode is None:
-            from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
-            system_mode = DEFAULT_SYSTEM_MODE
-        self.system_mode = system_mode
+        self.kernel = _checked_kernel(kernel)
+        self.system_mode = _checked_system_mode(system_mode)
         self.batch = None if batch is None else int(batch)
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be a positive scenario count")
@@ -203,7 +220,6 @@ class CosimJob(SweepJob):
             "seed": self.seed,
             "networks": self.networks,
             "kernel": self.kernel,
-            "fsm_mode": self.fsm_mode,
             "system_mode": self.system_mode,
             "until": self.until,
             "checkpoint_at": self.checkpoint_at,
@@ -227,7 +243,6 @@ class CosimJob(SweepJob):
         from repro.cosim.faults import default_fault_window, plan_for_unit
 
         session = CosimSession(model, kernel=self.kernel,
-                               fsm_mode=self.fsm_mode,
                                system_mode=self.system_mode,
                                **system.cosim_params)
         if self.fault_kind is not None:
@@ -470,20 +485,13 @@ class ConformanceJob(SweepJob):
 
     kind = "conformance"
 
-    def __init__(self, scenario, fsm_mode=None, system_mode=None):
+    def __init__(self, scenario, system_mode=None):
         self.scenario = str(scenario)
-        if fsm_mode is None:
-            from repro.ir.interp import DEFAULT_FSM_MODE
-            fsm_mode = DEFAULT_FSM_MODE
-        self.fsm_mode = fsm_mode
-        if system_mode is None:
-            from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
-            system_mode = DEFAULT_SYSTEM_MODE
-        self.system_mode = system_mode
+        self.system_mode = _checked_system_mode(system_mode)
 
     def spec(self):
         return {"kind": self.kind, "scenario": self.scenario,
-                "fsm_mode": self.fsm_mode, "system_mode": self.system_mode}
+                "system_mode": self.system_mode}
 
     @property
     def name(self):
@@ -492,8 +500,7 @@ class ConformanceJob(SweepJob):
     def execute(self):
         from repro.testkit.runner import replay
 
-        problems = replay(self.scenario, fsm_mode=self.fsm_mode,
-                          system_mode=self.system_mode)
+        problems = replay(self.scenario, system_mode=self.system_mode)
         record = self._base_record()
         record.update({
             "ok": not problems,

@@ -6,7 +6,7 @@ Usage::
     python -m repro.testkit --quick        # < 30 s smoke tier
     python -m repro.testkit --seed-base 1000
     python -m repro.testkit --replay kernel-medium-17
-    python -m repro.testkit --fsm-mode interpreted   # or: differential
+    python -m repro.testkit --system-mode interpreted   # or: differential
     python -m repro.testkit --kernel-scenarios tiny=5 small=2 --cosim 3 --cosyn 1
     python -m repro.testkit --emit-models 5 --networks 4   # generator only
     python -m repro.testkit --coverage --budget 24 --coverage-floor 0.9
@@ -89,18 +89,12 @@ def main(argv=None):
     parser.add_argument("--uniform", action="store_true",
                         help="with --coverage: draw scenarios uniformly "
                              "instead of coverage-directed (baseline)")
-    parser.add_argument("--fsm-mode", default=None,
-                        choices=("compiled", "interpreted", "differential"),
-                        help="FSM execution tier for the cosim oracle: the "
-                             "compiled programs (the project default), the "
-                             "tree-walking interpreter, or 'differential' "
-                             "to cross-check both tiers against each other")
     parser.add_argument("--system-mode", default=None,
                         choices=("fused", "per-fsm", "interpreted",
                                  "differential"),
-                        help="whole-system execution tier for the cosim "
-                             "oracle: the fused single-step program (the "
-                             "project default), per-FSM processes, the "
+                        help="execution tier for the cosim oracles: the "
+                             "fused single-step program (the project "
+                             "default), per-FSM compiled processes, the "
                              "whole-interpreted stack, or 'differential' "
                              "to cross-check all three tiers")
     parser.add_argument("--replay", metavar="NAME",
@@ -143,8 +137,7 @@ def main(argv=None):
         return 0
 
     if args.replay:
-        problems = replay(args.replay, fsm_mode=args.fsm_mode,
-                          system_mode=args.system_mode)
+        problems = replay(args.replay, system_mode=args.system_mode)
         if problems:
             print("\n".join(problems))
             return 1
@@ -186,7 +179,6 @@ def main(argv=None):
                              realtime_models=realtime_models,
                              seed_base=args.seed_base,
                              progress=progress,
-                             fsm_mode=args.fsm_mode,
                              system_mode=args.system_mode)
     elapsed = time.perf_counter() - started
     print(report.summary())
@@ -206,7 +198,7 @@ def run_coverage_campaign(args):
     runner = run_uniform if args.uniform else run_directed
     started = time.perf_counter()
     campaign = runner(args.budget, rng_seed=args.campaign_seed,
-                      fsm_mode=args.fsm_mode)
+                      system_mode=args.system_mode)
     elapsed = time.perf_counter() - started
     universe = campaign_universe()
     survivals = [report["survival"] for report in campaign["reports"]

@@ -9,6 +9,7 @@ end-to-end through the co-simulation backplane.
 """
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from repro.ir import (
     evaluate,
     var,
 )
+import repro.ir.compile as compile_module
 from repro.ir.compile import compile_expr_fn
 from repro.ir.expr import BinOp, Const, Expr, PortRef, UnOp, Var
 from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor
@@ -135,16 +137,54 @@ class TestGeneratedScenarioParity:
     @pytest.mark.parametrize("seed", (0, 3))
     def test_cosim_differential_oracle(self, seed):
         problems = check_cosim_conformance(generate_system(seed),
-                                           fsm_mode="differential")
+                                           system_mode="differential")
         assert problems == []
 
     def test_full_session_fingerprints_match_across_tiers(self):
         system = generate_system(5)
         fingerprints = {}
-        for mode in ("compiled", "interpreted"):
-            session, result = run_cosim(system, "production", fsm_mode=mode)
+        for mode in ("fused", "per-fsm", "interpreted"):
+            session, result = run_cosim(system, "production",
+                                        system_mode=mode)
             fingerprints[mode] = cosim_fingerprint(session, result)
-        assert fingerprints["compiled"] == fingerprints["interpreted"]
+        assert fingerprints["fused"] == fingerprints["interpreted"]
+        assert fingerprints["per-fsm"] == fingerprints["interpreted"]
+
+
+def _rounding_mod(a, b):
+    # The remainder of a *rounding* division: equal to the truncating one
+    # for a < b / 2, wrong above it.
+    return a - b * round(a / b)
+
+
+class TestSeededCompileFault:
+    """The one-axis differential matrix catches a per-FSM codegen fault.
+
+    ``system_mode="differential"`` compares the fused, per-FSM and
+    interpreted tiers; this pins that a fault in the per-FSM compile tier
+    alone (the fused program and the interpreter keep the right operator)
+    shows up as a divergence, so no separate FSM-tier sweep is needed.
+    """
+
+    # A single FIFO pair whose 4 words wrap the depth-4 ring pointers
+    # through ``(TAIL + 1) mod 4``.
+    SEED = 13
+
+    def _check(self):
+        return check_cosim_conformance(generate_system(self.SEED),
+                                       system_mode="differential")
+
+    def test_clean_compile_tier_has_no_divergence(self):
+        assert self._check() == []
+
+    def test_mutated_mod_operator_diverges(self, monkeypatch):
+        monkeypatch.setitem(compile_module._GENERATED_GLOBALS, "_mod",
+                            _rounding_mod)
+        monkeypatch.setattr(compile_module, "_PROGRAM_CACHE",
+                            weakref.WeakKeyDictionary())
+        problems = self._check()
+        assert any("per-fsm divergence" in problem for problem in problems), \
+            problems
 
 
 _values = st.integers(min_value=-1000, max_value=1000)
@@ -391,10 +431,10 @@ class TestSessionCounters:
     def test_summary_reports_tier_counters(self):
         system = generate_system(2)
         # Per-FSM wiring: every step lands on exactly one per-FSM tier.
-        for mode, hot, cold in (("compiled", "compile_hits", "fallback"),
+        for mode, hot, cold in (("per-fsm", "compile_hits", "fallback"),
                                 ("interpreted", "fallback", "compile_hits")):
-            session, result = run_cosim(system, "production", fsm_mode=mode,
-                                        system_mode="per-fsm")
+            session, result = run_cosim(system, "production",
+                                        system_mode=mode)
             counters = result.summary()["fsm"]
             assert counters["steps"] > 0
             assert counters["transitions_fired"] > 0

@@ -14,8 +14,11 @@ The full 334-scenario sweep across all three tiers runs via
 check runs at quick scale so tier-1 catches a divergence early.
 """
 
+from collections import OrderedDict
+
 import pytest
 
+import repro.ir.syscompile as syscompile
 from repro.cosim import CosimSession
 from repro.ir import (
     compile_system,
@@ -110,10 +113,17 @@ class TestSessionModes:
         session = CosimSession(model, system_mode="interpreted")
         session.run(until=5_000)
         assert session.system_tier == "interpreted"
-        assert session.fsm_counters()["system_compile_hits"] == 0
-        with pytest.raises(SimulationError):
+        counters = session.fsm_counters()
+        assert counters["system_compile_hits"] == 0
+        assert counters["compile_hits"] == 0
+        assert counters["fallback"] == counters["steps"] > 0
+        # Every other tier steps compiled programs; the tier is the only
+        # knob, so there is no way left to ask for a contradictory mix.
+        with pytest.raises(TypeError):
             CosimSession(model, system_mode="interpreted",
                          fsm_mode="compiled")
+        with pytest.raises(SimulationError):
+            CosimSession(model, system_mode="bogus")
 
     def test_detect_races_falls_back_to_per_fsm(self):
         session = CosimSession(generate_system(0).build_model(),
@@ -261,6 +271,31 @@ class TestSourceCache:
     def test_program_is_weakly_cached_per_model(self):
         model = generate_system(0).build_model()
         assert compile_system(model) is compile_system(model)
+
+    def test_code_cache_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(syscompile, "_CODE_CACHE", OrderedDict())
+        cap = 3
+        monkeypatch.setattr(syscompile, "CODE_CACHE_SIZE", cap)
+        digests = []
+        for seed in range(cap + 3):
+            model = generate_system(seed).build_model()
+            compile_system(model)
+            digests.append(model_digest(model))
+            assert len(syscompile._CODE_CACHE) <= cap
+        assert len(set(digests)) == cap + 3
+        assert list(syscompile._CODE_CACHE) == digests[-cap:]
+        # A fresh but equal model reuses the cached code object and
+        # becomes the most recently used entry.
+        oldest = digests[-cap]
+        code = syscompile._CODE_CACHE[oldest]
+        compile_system(generate_system(cap).build_model())
+        assert syscompile._CODE_CACHE[oldest] is code
+        assert list(syscompile._CODE_CACHE)[-1] == oldest
+        # The next distinct model evicts the least recently used entry.
+        compile_system(generate_system(cap + 3).build_model())
+        assert oldest in syscompile._CODE_CACHE
+        assert digests[-cap + 1] not in syscompile._CODE_CACHE
+        assert len(syscompile._CODE_CACHE) == cap
 
     def test_spec_records_protocol_templates(self):
         model = generate_system(1).build_model()

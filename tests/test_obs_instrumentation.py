@@ -143,8 +143,7 @@ class TestCosimInstrumentation:
         [entry] = families["repro_cosim_runs_total"]["series"]
         assert entry["value"] == 1
         assert entry["labels"] == {"kernel": "production",
-                                   "fsm_mode": "compiled"} \
-            or entry["labels"]["kernel"] == "production"
+                                   "system_mode": "fused"}
         tiers = {entry["labels"]["tier"]: entry["value"] for entry in
                  families["repro_cosim_fsm_steps_total"]["series"]}
         fsm = session.fsm_counters()

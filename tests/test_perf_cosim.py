@@ -23,7 +23,6 @@ from benchmarks.perf.cosim import (  # noqa: E402  (path setup above)
     check_against_baseline,
     check_fast_paths,
     main,
-    resolve_system_mode,
     time_batch_point,
     time_cosim_point,
 )
@@ -47,14 +46,15 @@ def test_acceptance_points_exist_in_full_sweep():
         assert threshold > 1.0
 
 
-def test_resolve_system_mode_follows_fsm_tier():
-    assert resolve_system_mode("compiled") == "fused"
-    assert resolve_system_mode("interpreted") == "interpreted"
-    assert resolve_system_mode("compiled", "per-fsm") == "per-fsm"
+def test_system_mode_is_the_only_tier_option(capsys):
+    # The FSM tier follows --system-mode; there is no second tier flag.
+    with pytest.raises(SystemExit):
+        main(["--fsm-mode", "interpreted", "--no-write"])
+    assert "--fsm-mode" in capsys.readouterr().err
 
 
 def test_transition_rate_point_counts_transitions():
-    point = time_cosim_point(TRANSITION_RATE, 2, "compiled", quick=True)
+    point = time_cosim_point(TRANSITION_RATE, 2, quick=True)
     assert point["wall_s"] >= 0
     assert point["system_mode"] == "fused"
     assert point["fsm"]["steps"] > 0
@@ -67,8 +67,7 @@ def test_transition_rate_point_counts_transitions():
 
 
 def test_per_fsm_point_reports_compiled_steps():
-    point = time_cosim_point(TRANSITION_RATE, 2, "compiled",
-                             system_mode="per-fsm", quick=True)
+    point = time_cosim_point(TRANSITION_RATE, 2, "per-fsm", quick=True)
     assert point["system_mode"] == "per-fsm"
     assert point["fsm"]["compile_hits"] == point["fsm"]["steps"] > 0
     assert point["fsm"]["system_compile_hits"] == 0
@@ -83,7 +82,7 @@ def test_interpreted_point_reports_fallback_steps():
 
 def test_repeats_validated():
     with pytest.raises(ValueError, match="repeats"):
-        time_cosim_point(TRANSITION_RATE, 2, "compiled", repeats=0)
+        time_cosim_point(TRANSITION_RATE, 2, repeats=0)
 
 
 def test_batch_point_is_byte_identical():
@@ -166,7 +165,7 @@ def test_check_against_baseline_rejects_vacuous_comparison():
 def test_check_fast_paths_flags_lost_tiers():
     fused_ok = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
-        "fsm_mode": "compiled", "system_mode": "fused",
+        "system_mode": "fused",
         "fsm": {"steps": 10, "compile_hits": 0, "fallback": 0,
                 "system_compile_hits": 10, "system_fallback": 0},
     }]}
@@ -174,7 +173,7 @@ def test_check_fast_paths_flags_lost_tiers():
     assert ok and not lines
     fused_lost = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
-        "fsm_mode": "compiled", "system_mode": "fused",
+        "system_mode": "fused",
         "fsm": {"steps": 10, "compile_hits": 8, "fallback": 0,
                 "system_compile_hits": 2, "system_fallback": 8},
     }]}
@@ -183,7 +182,7 @@ def test_check_fast_paths_flags_lost_tiers():
     assert any("fused fast path" in line for line in lines)
     compiled_lost = {"results": [{
         "workload": "mixed_system", "n_processes": 1,
-        "fsm_mode": "compiled", "system_mode": "per-fsm",
+        "system_mode": "per-fsm",
         "fsm": {"steps": 10, "compile_hits": 5, "fallback": 5,
                 "system_compile_hits": 0, "system_fallback": 0},
     }]}
@@ -204,23 +203,23 @@ def test_check_cli_requires_recorded_baseline(tmp_path, capsys):
 
 def test_check_cli_rejects_baseline_from_wrong_tier(tmp_path, capsys):
     # A baseline recorded on the interpreted tier must not silently gate a
-    # compiled-tier run (it would be trivially green).
+    # fused run (it would be trivially green).
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="interpreted",
                               system_mode="interpreted", quick=True)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)
     assert main(["--check", "--output", str(path)]) == 1
-    assert "re-record the baseline" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "system_mode='interpreted'" in err
+    assert "re-record the baseline" in err
 
 
 def test_check_cli_rejects_baseline_from_wrong_system_tier(tmp_path, capsys):
-    # Right FSM tier, wrong whole-system tier: a per-FSM baseline must not
-    # gate a fused run — that is exactly the gap this PR's tier closes.
+    # Both compiled, different wiring: a per-FSM baseline must not gate a
+    # fused run.
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="compiled", system_mode="per-fsm",
-                              quick=True)
+                              system_mode="per-fsm", quick=True)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)
@@ -234,8 +233,7 @@ def test_check_cli_rejects_full_tier_baseline(tmp_path, capsys):
     # A full-tier baseline does ~10x the quick tier's work per point, which
     # would make every wall-clock ratio trivially green.
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="compiled", system_mode="fused",
-                              quick=False)
+                              system_mode="fused", quick=False)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)

@@ -172,6 +172,19 @@ class TestQueueShape:
             ])
         assert service.jobs() == []
 
+    def test_bad_tier_or_kernel_rejected_at_submit(self):
+        service = JobService(workers=1)
+        for spec in ({"kind": "cosim", "seed": 1, "system_mode": "bogus"},
+                     {"kind": "cosim", "seed": 1, "kernel": "bogus"},
+                     {"kind": "conformance", "scenario": "system-0",
+                      "system_mode": "bogus"}):
+            with pytest.raises(ValueError, match="'bogus'"):
+                service.submit_spec(spec)
+        with pytest.raises(ValueError, match="fsm_mode"):
+            service.submit_spec({"kind": "cosim", "seed": 1,
+                                 "fsm_mode": "compiled"})
+        assert service.jobs() == []
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="workers"):
             JobService(workers=0)
@@ -344,6 +357,14 @@ class TestHttpServer:
         status, reply = self._call(endpoint, "POST", "/jobs",
                                    {"kind": "bogus"})
         assert status == 400 and "unknown job kind" in reply["error"]
+        status, reply = self._call(endpoint, "POST", "/jobs",
+                                   {"kind": "cosim", "seed": 1,
+                                    "system_mode": "bogus"})
+        assert status == 400 and "unknown system_mode" in reply["error"]
+        status, reply = self._call(endpoint, "POST", "/jobs",
+                                   {"kind": "cosim", "seed": 1,
+                                    "kernel": "bogus"})
+        assert status == 400 and "unknown kernel" in reply["error"]
         status, reply = self._call(endpoint, "POST", "/jobs", [])
         assert status == 400
         status, reply = self._call(endpoint, "GET", "/nope")

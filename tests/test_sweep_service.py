@@ -16,6 +16,7 @@ import pytest
 import repro.cosyn.flow as cosyn_flow
 from repro.sweep import (
     ArtifactCache,
+    ConformanceJob,
     CosimJob,
     CosynJob,
     KernelJob,
@@ -161,6 +162,35 @@ class TestJobBehaviour:
             job_from_dict({"kind": "warp"})
         with pytest.raises(ValueError, match="bad cosim job"):
             job_from_dict({"kind": "cosim", "sneed": 3})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "cosim", "seed": 1, "system_mode": "bogus"},
+        {"kind": "cosim", "seed": 1, "kernel": "bogus"},
+        {"kind": "kernel", "size": "tiny", "seed": 1, "kernel": "bogus"},
+        {"kind": "conformance", "scenario": "system-0",
+         "system_mode": "bogus"},
+    ])
+    def test_tier_and_kernel_checked_at_construction(self, spec):
+        # Refused when the job is built, not later inside a worker.
+        with pytest.raises(ValueError, match="'bogus'"):
+            job_from_dict(spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "cosim", "seed": 1, "fsm_mode": "interpreted"},
+        {"kind": "conformance", "scenario": "system-0",
+         "fsm_mode": "compiled"},
+    ])
+    def test_spec_with_fsm_mode_is_refused_by_name(self, spec):
+        # system_mode is the one tier option; the FSM tier follows it.
+        with pytest.raises(ValueError, match="fsm_mode"):
+            job_from_dict(spec)
+
+    def test_specs_carry_one_tier_field(self):
+        assert "fsm_mode" not in CosimJob(1).spec()
+        assert CosimJob(1).spec()["system_mode"] == "fused"
+        assert ConformanceJob("system-0", system_mode="interpreted").spec() \
+            == {"kind": "conformance", "scenario": "system-0",
+                "system_mode": "interpreted"}
 
     def test_job_from_dict_round_trips_spec(self):
         for job in (KernelJob("small", 7, kernel="reference"),

@@ -99,19 +99,17 @@ class TestKit:
         assert "4 scenarios — PASS" in report.summary()
 
     def test_fault_and_realtime_tiers_pass(self):
-        """The quick fault/realtime tiers hold on both FSM execution tiers.
+        """The quick fault/realtime tiers hold on every execution tier.
 
-        ``fsm_mode="differential"`` runs every fault scenario on the
-        compiled *and* interpreted tiers and cross-checks the full variant
-        matrix — the ISSUE's "full conformance sweep passes with
-        fault-injection scenarios in both fsm modes" criterion, at quick
-        scale.
+        ``system_mode="differential"`` runs every fault scenario on the
+        fused, per-FSM (both compiled) *and* interpreted tiers and
+        cross-checks the full variant matrix, at quick scale.
         """
         report = run_conformance(kernel_tier=(), cosim_models=0,
                                  cosyn_models=0,
                                  fault_seeds=QUICK_FAULT_SEEDS,
                                  realtime_models=QUICK_REALTIME_MODELS,
-                                 fsm_mode="differential")
+                                 system_mode="differential")
         assert report.ok, report.summary()
         assert report.scenarios_run == \
             4 * QUICK_FAULT_SEEDS + QUICK_REALTIME_MODELS
