@@ -55,7 +55,7 @@ bench-cosim-quick:
 
 # CI regression gate: quick cosim tier must stay within 2x of the recorded
 # quick-baseline label in BENCH_cosim.json (refused if the baseline was
-# recorded on a different fsm/system tier), every fast path must actually
+# recorded on a different system tier), every fast path must actually
 # be taken, the batched amortization must hold its threshold, and the
 # file's recorded acceptance verdict must be passing.
 bench-cosim-check:

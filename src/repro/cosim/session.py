@@ -33,7 +33,6 @@ from repro.ir.syscompile import (
     DEFAULT_SYSTEM_MODE,
     SYSTEM_MODES,
     LateBoundService,
-    ShadowChecker,
     SystemCompileError,
     compile_system,
 )
@@ -129,9 +128,9 @@ class CosimSession:
         self.system_cache = system_cache
         self.detect_races = detect_races
         #: Resolved at build time: the tier actually wired ("fused",
-        #: "per-fsm", "interpreted" or "differential") — a requested
-        #: "fused"/"differential" falls back to "per-fsm" when the model
-        #: cannot be fused (reason in :attr:`system_fallback_reason`).
+        #: "per-fsm" or "interpreted") — a requested "fused" falls back to
+        #: "per-fsm" when the model cannot be fused (reason in
+        #: :attr:`system_fallback_reason`).
         self.system_tier = None
         self.system_fallback_reason = None
         self.system_program = None
@@ -139,10 +138,8 @@ class CosimSession:
         #: per-FSM at runtime although the fused program was active.
         self.system_compile_hits = 0
         self.system_fallback = 0
-        self.system_checker = None
         self._fused_process = None
-        self._check_pre_process = None
-        self._system_wiring = None
+        self._fused_wiring = False
 
         self.simulator = create_simulator(kernel, detect_races=detect_races)
         self.trace = ServiceCallTrace()
@@ -230,14 +227,13 @@ class CosimSession:
     def _system_prepare(self):
         """Resolve the system tier; compile the fused program when asked.
 
-        Requested "fused"/"differential" degrade to the per-FSM wiring —
-        with :attr:`system_fallback_reason` recording why — when the model
+        A requested "fused" degrades to the per-FSM wiring — with
+        :attr:`system_fallback_reason` recording why — when the model
         carries un-fusable constructs, error-level findings in its lint
         report (:func:`repro.lint.model_report`) or the kernel runs with
         ``detect_races`` (write-race attribution needs one kernel process
         per writer, which fusing removes).
         """
-        self._system_wiring = "per-fsm"
         if self.system_mode in ("per-fsm", "interpreted"):
             self.system_tier = self.system_mode
             return
@@ -262,49 +258,29 @@ class CosimSession:
             self.system_tier = "per-fsm"
             return
         self.system_program = program
-        self.system_tier = (
-            "differential" if self.system_mode == "differential" else "fused"
-        )
-        if program.process_count:
-            self._system_wiring = (
-                "differential" if self.system_mode == "differential"
-                else "fused"
-            )
+        self.system_tier = "fused"
+        self._fused_wiring = bool(program.process_count)
 
     def _system_bind(self):
         """Bind the generated code to the built backplane.
 
-        Runs after controllers and hardware exist.  In fused wiring the
-        placeholder process registered first on the clock receives the
-        generated step function; in differential wiring the per-FSM
-        processes stay authoritative and a :class:`ShadowChecker` brackets
-        them (pre-sampler registered before the controllers, post-checker
-        registered here, after the adapters).
+        Runs after controllers and hardware exist: the placeholder process
+        registered first on the clock receives the generated step function.
         """
-        if self._system_wiring == "per-fsm":
+        if not self._fused_wiring:
             return
         program = self.system_program
         plan = program.plan
-        instances, labels = [], []
+        instances = []
         for cand in plan.candidates:
             if cand.kind == "ctrl":
                 instances.append(self.controller_instances[cand.label])
             else:
                 instances.append(self.hw_adapters[cand.owner].instances[cand.name])
-            labels.append(cand.label)
         signals = []
         for kind, owner, port in plan.signal_keys:
             table = self.unit_signals if kind == "unit" else self.module_signals
             signals.append(table[owner][port])
-        if self._system_wiring == "differential":
-            shadow = program.bind_shadow({"signals": signals})
-            self.system_checker = ShadowChecker(self.clock, instances,
-                                                labels, shadow)
-            self._check_pre_process.func = self.system_checker.pre
-            self.simulator.add_fused_process(
-                "system_check_post", self.system_checker.post, self.clock
-            )
-            return
         accessors = []
         for key in plan.accessor_keys:
             if key[0] == "ctrl":
@@ -344,18 +320,13 @@ class CosimSession:
             self.unit_signals[unit.name] = signals
 
     def _build_controllers(self):
-        # The fused step (or the differential pre-sampler) must occupy the
-        # clock-sensitivity position of the first process it replaces
-        # (precedes), so registration happens before any controller.
-        if self._system_wiring == "fused":
+        # The fused step must occupy the clock-sensitivity position of the
+        # first process it replaces (precedes), so registration happens
+        # before any controller.
+        if self._fused_wiring:
             self._fused_process = self.simulator.add_fused_process(
                 "system_fused", _unbound_system_step, self.clock
             )
-        elif self._system_wiring == "differential":
-            self._check_pre_process = self.simulator.add_fused_process(
-                "system_check_pre", _unbound_system_step, self.clock
-            )
-        register = self._system_wiring != "fused"
         for unit in self.model.comm_units.values():
             signals = self.unit_signals[unit.name]
             for controller in unit.controllers:
@@ -364,7 +335,7 @@ class CosimSession:
                 instance = FsmInstance(controller.fsm, ports=accessor,
                                        mode=self._fsm_tier)
                 self.controller_instances[f"{unit.name}.{controller.name}"] = instance
-                if register:
+                if not self._fused_wiring:
                     self.simulator.add_clocked_process(
                         f"{unit.name}_{controller.name}_clked", instance.step,
                         self.clock,
@@ -401,7 +372,7 @@ class CosimSession:
             self.hw_adapters[module.name] = HardwareAdapter(
                 module, self.simulator, self.clock, accessor, registry,
                 mode=self._fsm_tier,
-                register=self._system_wiring != "fused",
+                register=not self._fused_wiring,
             )
 
     def _build_software(self):

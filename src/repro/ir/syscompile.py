@@ -40,13 +40,11 @@ cached per model (weak), per digest (:func:`model_digest`, via
 content-addressed :class:`~repro.sweep.cache.ArtifactCache`, so warm
 sweep/server re-runs skip codegen the way they already skip HLS.
 
-``system_mode="differential"`` keeps the per-FSM wiring as ground truth
-and cross-checks the fused codegen every rising edge with a *shadow*
-variant of the generated function (:class:`ShadowChecker`): pre-edge
-state in, predicted post-edge state out, compared against what the real
-processes did.  Service-call states are skipped (stepping a service twice
-would side-effect the trace); the conformance kit's separate-session
-matrix covers those end to end.
+The fused step's oracle lives outside the session: the conformance kit's
+``--system-mode differential`` matrix
+(:func:`repro.testkit.oracles.variant_matrix`) runs the production step in
+a session of its own next to the per-FSM and interpreted tiers and
+compares every observable.
 """
 
 import weakref
@@ -61,16 +59,15 @@ from repro.utils.errors import SimulationError
 #: System execution tiers understood by ``CosimSession(system_mode=...)``.
 #: ``fused`` runs the whole-system program below; ``per-fsm`` is the PR 5
 #: wiring (one clocked process per instance, per-FSM compiled programs);
-#: ``interpreted`` is the per-FSM wiring on the tree-walking oracle;
-#: ``differential`` executes per-FSM and shadow-checks the fused codegen
-#: every rising edge.
-SYSTEM_MODES = ("fused", "per-fsm", "interpreted", "differential")
+#: ``interpreted`` is the per-FSM wiring on the tree-walking oracle.
+#: Cross-checking the three is the conformance kit's job, not a tier.
+SYSTEM_MODES = ("fused", "per-fsm", "interpreted")
 
 DEFAULT_SYSTEM_MODE = "fused"
 
 #: Bumped whenever the generated source changes shape: it keys the
 #: cross-process source cache, so stale cached sources are never reused.
-SOURCE_FORMAT = 3
+SOURCE_FORMAT = 4
 
 
 class SystemCompileError(SimulationError):
@@ -292,11 +289,8 @@ class SystemPlan:
 class _FragmentEmitter:
     """Emits the inlined step fragment of one candidate.
 
-    ``mode="fused"`` produces the production fragment: canonical counter
-    updates, delta-queue writes, observer callbacks.  ``mode="shadow"``
-    produces the differential variant: state/env/fired tracked in locals,
-    writes evaluated but discarded, no counters — the oracle's prediction
-    of what the real per-FSM step will do.
+    The fragment does what the candidate's per-FSM step would: canonical
+    counter updates, delta-queue writes, observer callbacks.
 
     Accessor read/write counts and the ``transactions`` statistic are
     accumulated in pending counters and flushed as ``+= n`` lines at every
@@ -305,10 +299,9 @@ class _FragmentEmitter:
     fold point differs, which is unobservable between deltas).
     """
 
-    def __init__(self, plan, cand, mode, lines):
+    def __init__(self, plan, cand, lines):
         self.plan = plan
         self.cand = cand
-        self.mode = mode
         self.lines = lines
         self._reads = 0
         self._writes = 0
@@ -324,9 +317,6 @@ class _FragmentEmitter:
         self.lines.append("    " * depth + text)
 
     def flush(self, depth):
-        if self.mode != "fused":
-            self._reads = self._writes = self._tx = 0
-            return
         pad = "    " * depth
         ai = self.cand.accessor
         if self._reads:
@@ -384,12 +374,9 @@ class _FragmentEmitter:
             elif isinstance(stmt, PortWrite):
                 src = self.expr(stmt.expr)
                 slot = self.plan.signal_slot(self.cand, stmt.port_name)
-                if self.mode == "fused":
-                    self.line(depth, f"_dq((g{slot}, {src}))")
-                    self._writes += 1
-                    self._tx += 1
-                else:
-                    self.line(depth, f"_sw = {src}")
+                self.line(depth, f"_dq((g{slot}, {src}))")
+                self._writes += 1
+                self._tx += 1
             elif isinstance(stmt, If):
                 cond = self.expr(stmt.cond)
                 self.flush(depth)
@@ -413,8 +400,6 @@ class _FragmentEmitter:
     # -- step results / observers
 
     def _observe(self, depth, from_state, to_state, fired, called_local):
-        if self.mode != "fused":
-            return
         fsm = self.cand.fsm
         done = to_state in fsm.done_states
         args = [repr(from_state), repr(to_state), repr(fired), repr(done)]
@@ -432,14 +417,10 @@ class _FragmentEmitter:
         self.emit_stmts(transition.actions, depth)
         self.flush(depth)
         i = self.cand.index
-        if self.mode == "fused":
-            self.line(depth, f"i{i}.current = {transition.target!r}")
-            self.line(depth, f"i{i}.transitions_fired += 1")
-            self._observe(depth, state.name, transition.target, True,
-                          called_local)
-        else:
-            self.line(depth, f"_c = {transition.target!r}")
-            self.line(depth, "_f = True")
+        self.line(depth, f"i{i}.current = {transition.target!r}")
+        self.line(depth, f"i{i}.transitions_fired += 1")
+        self._observe(depth, state.name, transition.target, True,
+                      called_local)
         self.line(depth, "break")
 
     # -- transitions
@@ -548,7 +529,7 @@ def generate_system_source(model, plan=None):
             lines.append(f"            {keyword} _c == {state.name!r}:")
             keyword = "elif"
             lines.append("                while True:")
-            emitter = _FragmentEmitter(plan, cand, "fused", lines)
+            emitter = _FragmentEmitter(plan, cand, lines)
             emitter.emit_state(state, 5)
         lines.append("            else:")
         lines.append(f"                i{i}.steps -= 1")
@@ -578,43 +559,6 @@ def generate_system_source(model, plan=None):
     lines.append("        _ses.system_compile_hits += _hits")
     lines.append("    return _step")
     lines.append("")
-    fused_body = lines
-
-    # ------------------------------------------------- shadow step body
-    lines = []
-    for cand in plan.candidates:
-        i = cand.index
-        lines.append(f"        # {cand.kind} {cand.label}")
-        lines.append(f"        _p = PRE[{i}]")
-        lines.append("        while _p is not None:")
-        lines.append("            _c = _p[0]")
-        lines.append("            _e = _p[1]")
-        lines.append("            _f = False")
-        keyword = "if"
-        emitted_any = False
-        for state in cand.fsm.iter_states():
-            if any(t.call is not None for t in state.transitions):
-                continue  # call states are resynced, not shadow-stepped
-            lines.append(f"            {keyword} _c == {state.name!r}:")
-            keyword = "elif"
-            emitted_any = True
-            lines.append("                while True:")
-            emitter = _FragmentEmitter(plan, cand, "shadow", lines)
-            emitter.emit_state(state, 5)
-        if emitted_any:
-            lines.append("            else:")
-            lines.append(f"                OUT[{i}] = None")
-            lines.append("                break")
-            lines.append(f"            OUT[{i}] = (_c, _e, _f)")
-            lines.append("            break")
-        else:
-            lines.append(f"            OUT[{i}] = None")
-            lines.append("            break")
-    if not plan.candidates:
-        lines.append("        pass")
-    lines.append("    return _shadow")
-    lines.append("")
-    shadow_body = lines
 
     # ------------------------------------- assemble (slots now complete)
     out = [
@@ -655,14 +599,8 @@ def generate_system_source(model, plan=None):
     for n in range(len(plan.accessor_keys)):
         counters += [f"_r{n}", f"_w{n}"]
     _chunk_zero_init(counters, out, 2)
-    out.extend(fused_body)
-    defaults = [("SE", "SimulationError")]
-    defaults += [(f"g{n}", f'_c["signals"][{n}]')
-                 for n in range(len(plan.signal_keys))]
-    out.append("def _bind_shadow(_c):")
-    out.append(f"    def _shadow(PRE, OUT, {_defaults(defaults)}):")
-    out.extend(shadow_body)
-    return "\n".join(out)
+    out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------------------------ program
@@ -672,9 +610,9 @@ class SystemProgram:
     """The compiled whole-system program of one model.
 
     Holds the generated source, its digest, the slot metadata a session
-    needs to assemble a binding context, and the two bind entry points
-    (production step function and differential shadow).  Shared by every
-    session built from the same model object.
+    needs to assemble a binding context, and the bind entry point of the
+    step function.  Shared by every session built from the same model
+    object.
     """
 
     def __init__(self, model, plan, digest, source):
@@ -693,7 +631,6 @@ class SystemProgram:
         namespace = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
         self._bind_fused = namespace["_bind_fused"]
-        self._bind_shadow = namespace["_bind_shadow"]
 
     @property
     def process_count(self):
@@ -711,10 +648,6 @@ class SystemProgram:
         in the orders recorded on :attr:`plan`.
         """
         return self._bind_fused(ctx)
-
-    def bind_shadow(self, ctx):
-        """Bind the shadow variant (needs only ``signals``)."""
-        return self._bind_shadow(ctx)
 
     def __repr__(self):
         return (f"SystemProgram({self.name}, candidates="
@@ -737,75 +670,6 @@ class LateBoundService:
 
     def step(self, arg_values):
         return self.registry.get(self.name).step(arg_values)
-
-
-class ShadowChecker:
-    """Per-edge differential oracle comparing fused codegen to per-FSM runs.
-
-    Two clock-sensitive hooks bracket the real clocked processes:
-    :meth:`pre` (registered before every controller) samples each
-    candidate's state, environment and fired-count; :meth:`post`
-    (registered after every adapter, before the generator waiters run)
-    executes the shadow program from those samples and compares its
-    predicted post-edge state/env/fired against what the real per-FSM
-    processes actually did.  Candidates whose pre-edge state carries
-    service calls are skipped (``OUT`` slot ``None``) — stepping a service
-    twice would corrupt the trace; the testkit's separate-session matrix
-    covers them.
-
-    The two hooks add their own process runs, so a differential session's
-    kernel statistics intentionally differ from the pure tiers': it is an
-    oracle mode, not a conformance variant.
-    """
-
-    def __init__(self, clock, instances, labels, shadow):
-        self.clock = clock
-        self.instances = list(instances)
-        self.labels = list(labels)
-        self.shadow = shadow
-        self._pre = [None] * len(self.instances)
-        self._out = [None] * len(self.instances)
-        self.checked_edges = 0
-        self.compared_steps = 0
-
-    def pre(self):
-        if self.clock._value != 1:
-            return
-        pre = self._pre
-        for index, instance in enumerate(self.instances):
-            pre[index] = (instance.current, dict(instance.env),
-                          instance.transitions_fired)
-
-    def post(self):
-        if self.clock._value != 1:
-            return
-        out = self._out
-        for index in range(len(out)):
-            out[index] = None
-        try:
-            self.shadow(self._pre, out)
-        except Exception as exc:
-            raise SimulationError(
-                f"system differential: shadow execution failed at "
-                f"t={self.clock.last_changed}: {exc}"
-            ) from exc
-        self.checked_edges += 1
-        for index, instance in enumerate(self.instances):
-            predicted = out[index]
-            if predicted is None:
-                continue
-            self.compared_steps += 1
-            fired = instance.transitions_fired - self._pre[index][2]
-            if (predicted[0] != instance.current
-                    or predicted[1] != instance.env
-                    or int(predicted[2]) != fired):
-                raise SimulationError(
-                    f"system differential divergence at {self.labels[index]}:"
-                    f" fused predicts state={predicted[0]!r}"
-                    f" fired={int(predicted[2])} env={predicted[1]!r};"
-                    f" per-FSM tier has state={instance.current!r}"
-                    f" fired={fired} env={dict(instance.env)!r}"
-                )
 
 
 # ------------------------------------------------------------------- caches

@@ -47,20 +47,33 @@ def _checked_kernel(kernel):
     return kernel
 
 
-def _checked_system_mode(system_mode):
-    """The resolved system tier, or ``ValueError`` for an unknown one.
+def _checked_system_mode(system_mode, modes=None):
+    """The resolved system tier, or ``ValueError`` for one not in *modes*.
 
-    Resolved at construction so the job spec — the report/replay identity —
-    stays explicit even if the project default flips.
+    *modes* defaults to the session tiers (``SYSTEM_MODES``).  Resolved at
+    construction so the job spec — the report/replay identity — stays
+    explicit even if the project default flips.
     """
     from repro.ir.syscompile import DEFAULT_SYSTEM_MODE, SYSTEM_MODES
 
     if system_mode is None:
         return DEFAULT_SYSTEM_MODE
-    if system_mode not in SYSTEM_MODES:
+    modes = SYSTEM_MODES if modes is None else modes
+    if system_mode not in modes:
         raise ValueError(f"unknown system_mode {system_mode!r}; "
-                         f"available: {SYSTEM_MODES}")
+                         f"available: {modes}")
     return system_mode
+
+
+def _checked_platform(name):
+    """*name* if it names a registered platform, else ``ValueError``."""
+    from repro.platforms import available_platforms
+
+    name = str(name)
+    if name not in available_platforms():
+        raise ValueError(f"unknown platform {name!r}; "
+                         f"available: {available_platforms()}")
+    return name
 
 
 class SweepJob:
@@ -416,7 +429,7 @@ class CosynJob(SweepJob):
                  hw_modules=None, no_lint=False):
         self.seed = int(seed)
         self.networks = None if networks is None else int(networks)
-        self.platform = platform
+        self.platform = _checked_platform(platform)
         self.hw_modules = (None if hw_modules is None
                            else sorted(str(name) for name in hw_modules))
         self.no_lint = bool(no_lint)
@@ -477,17 +490,24 @@ class ConformanceJob(SweepJob):
 
     *scenario* is the testkit name (``kernel-<size>-<seed>``,
     ``system-<seed>``, ``fault-<kind>-<seed>``, ``realtime-<seed>``) —
-    exactly what ``python -m repro.testkit --replay`` accepts.  Any
-    divergence between kernels/tiers (or a missed functional expectation)
-    lands in the record's ``functional_problems``, so a batch containing
-    conformance jobs fails its report when conformance breaks.
+    exactly what ``python -m repro.testkit --replay`` accepts, checked at
+    construction.  *system_mode* is one session tier or ``differential``
+    (every tier, each in its own session).  Any divergence between
+    kernels/tiers (or a missed functional expectation) lands in the
+    record's ``functional_problems``, so a batch containing conformance
+    jobs fails its report when conformance breaks.
     """
 
     kind = "conformance"
 
     def __init__(self, scenario, system_mode=None):
+        from repro.testkit import CONFORMANCE_SYSTEM_MODES
+        from repro.testkit.runner import parse_scenario_name
+
         self.scenario = str(scenario)
-        self.system_mode = _checked_system_mode(system_mode)
+        parse_scenario_name(self.scenario)
+        self.system_mode = _checked_system_mode(system_mode,
+                                                CONFORMANCE_SYSTEM_MODES)
 
     def spec(self):
         return {"kind": self.kind, "scenario": self.scenario,
@@ -532,7 +552,8 @@ class DseJob(SweepJob):
                              "expected auto, exhaustive or heuristic")
         self.mode = mode
         self.platforms = (None if platforms is None
-                          else sorted(str(name) for name in platforms))
+                          else sorted(_checked_platform(name)
+                                      for name in platforms))
         self.search_seed = int(search_seed)
         self.restarts = int(restarts)
         self.max_rounds = int(max_rounds)

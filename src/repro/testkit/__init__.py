@@ -44,6 +44,7 @@ from repro.testkit.generator import (
 )
 from repro.testkit.models import GeneratedSystem, generate_models, generate_system
 from repro.testkit.oracles import (
+    CONFORMANCE_SYSTEM_MODES,
     check_cosim_conformance,
     check_cosyn_conformance,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "GeneratedSystem",
     "generate_models",
     "generate_system",
+    "CONFORMANCE_SYSTEM_MODES",
     "check_cosim_conformance",
     "check_cosyn_conformance",
     "check_kernel_scenario",

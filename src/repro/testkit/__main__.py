@@ -28,6 +28,7 @@ import sys
 import time
 
 from repro.testkit.models import generate_models
+from repro.testkit.oracles import CONFORMANCE_SYSTEM_MODES
 from repro.testkit.runner import (
     FULL_COSIM_MODELS,
     FULL_COSYN_MODELS,
@@ -90,8 +91,7 @@ def main(argv=None):
                         help="with --coverage: draw scenarios uniformly "
                              "instead of coverage-directed (baseline)")
     parser.add_argument("--system-mode", default=None,
-                        choices=("fused", "per-fsm", "interpreted",
-                                 "differential"),
+                        choices=CONFORMANCE_SYSTEM_MODES,
                         help="execution tier for the cosim oracles: the "
                              "fused single-step program (the project "
                              "default), per-FSM compiled processes, the "
@@ -109,6 +109,9 @@ def main(argv=None):
                         help="print one line per scenario")
     args = parser.parse_args(argv)
 
+    if args.coverage and args.system_mode == "differential":
+        parser.error("--coverage runs one session per scenario; pick one "
+                     "tier, 'differential' is a conformance-tier matrix")
     if args.networks is not None and args.emit_models is None:
         parser.error("--networks only applies to --emit-models; the "
                      "conformance tiers use the generator's own 1-3 "

@@ -28,12 +28,18 @@ prefixed with the generated system's name so a failure pins its seed.
 
 from repro.cosim import CosimSession
 from repro.cosyn import CosynthesisFlow
-from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
+from repro.ir.syscompile import DEFAULT_SYSTEM_MODE, SYSTEM_MODES
 from repro.lint import lint_model
 from repro.platforms import get_platform
 
 #: Generous completion horizon: generated systems transfer < 20 words.
 COSIM_MAX_TIME = 500_000
+
+#: ``system_mode`` values a conformance check accepts: one session tier,
+#: or ``differential`` for the whole tier matrix (:func:`variant_matrix`).
+#: ``differential`` is never a session tier — each tier runs in a session
+#: of its own.
+CONFORMANCE_SYSTEM_MODES = SYSTEM_MODES + ("differential",)
 
 
 def variant_matrix(kernels, system_mode=None):
@@ -47,8 +53,8 @@ def variant_matrix(kernels, system_mode=None):
     """
     if system_mode is None:
         system_mode = DEFAULT_SYSTEM_MODE
-    system_modes = (("fused", "per-fsm", "interpreted")
-                    if system_mode == "differential" else (system_mode,))
+    system_modes = (SYSTEM_MODES if system_mode == "differential"
+                    else (system_mode,))
     return [(kernel, smode) for kernel in kernels for smode in system_modes]
 
 

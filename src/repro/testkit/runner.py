@@ -10,7 +10,7 @@ is all that is needed to reproduce it::
 """
 
 from repro.cosim.faults import FAULT_KINDS
-from repro.testkit.generator import KernelScenario
+from repro.testkit.generator import SIZES, KernelScenario
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, check_cosyn_conformance
 from repro.testkit.scenarios import (
@@ -104,8 +104,9 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     fresh scenarios while `make conformance` stays reproducible by default.
     *system_mode* selects the execution tier of the cosim oracles
     (``fused``, ``per-fsm``, ``interpreted``, ``differential`` to
-    cross-check all three against each other, or ``None`` for the project
-    default — see :func:`repro.testkit.oracles.check_cosim_conformance`).
+    cross-check all three against each other in separate sessions, or
+    ``None`` for the project default — see
+    :func:`repro.testkit.oracles.check_cosim_conformance`).
     """
     report = ConformanceReport()
 
@@ -149,30 +150,56 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     return report
 
 
+def parse_scenario_name(name):
+    """``(family, variant, seed)`` of a printed scenario name.
+
+    ``kernel-<size>-<seed>`` gives ``("kernel", size, seed)``,
+    ``fault-<kind>-<seed>`` gives ``("fault", kind, seed)``, and
+    ``system-<seed>`` / ``realtime-<seed>`` give a ``None`` variant.  An
+    unknown family, size or fault kind, or a seed that is not a decimal
+    integer, raises ``ValueError``.
+    """
+    family, *rest = name.split("-")
+    if family in ("kernel", "fault") and len(rest) >= 2:
+        variant = "-".join(rest[:-1])
+    elif family in ("system", "realtime") and len(rest) == 1:
+        variant = None
+    else:
+        raise ValueError(
+            f"unrecognised scenario name {name!r}; expected "
+            "'kernel-<size>-<seed>', 'system-<seed>', 'fault-<kind>-<seed>' "
+            "or 'realtime-<seed>'"
+        )
+    seed = rest[-1]
+    if not (seed.isascii() and seed.isdigit()):
+        raise ValueError(f"scenario {name!r}: seed {seed!r} is not an integer")
+    if family == "kernel" and variant not in SIZES:
+        raise ValueError(f"scenario {name!r}: unknown size {variant!r}; "
+                         f"available: {sorted(SIZES)}")
+    if family == "fault" and variant not in FAULT_KINDS:
+        raise ValueError(f"scenario {name!r}: unknown fault kind "
+                         f"{variant!r}; available: {FAULT_KINDS}")
+    return family, variant, int(seed)
+
+
 def replay(name, system_mode=None):
     """Re-run one scenario from its printed name; returns problem strings.
 
     Accepts ``kernel-<size>-<seed>`` (differential kernel check),
     ``system-<seed>`` (both cosim and cosyn oracles),
     ``fault-<kind>-<seed>`` (differential fault-injection check) and
-    ``realtime-<seed>`` (back-annotated deadline check).
+    ``realtime-<seed>`` (back-annotated deadline check); see
+    :func:`parse_scenario_name`.
     """
-    parts = name.split("-")
-    if parts[0] == "kernel" and len(parts) == 3:
-        return check_kernel_scenario(KernelScenario(int(parts[2]), size=parts[1]))
-    if parts[0] == "system" and len(parts) == 2:
-        system = generate_system(int(parts[1]))
+    family, variant, seed = parse_scenario_name(name)
+    if family == "kernel":
+        return check_kernel_scenario(KernelScenario(seed, size=variant))
+    if family == "system":
+        system = generate_system(seed)
         return (check_cosim_conformance(system, system_mode=system_mode)
                 + check_cosyn_conformance(system))
-    if parts[0] == "fault" and len(parts) >= 3:
-        kind = "-".join(parts[1:-1])
-        scenario = FaultScenario(int(parts[-1]), kind=kind)
+    if family == "fault":
+        scenario = FaultScenario(seed, kind=variant)
         return check_fault_scenario(scenario, system_mode=system_mode)
-    if parts[0] == "realtime" and len(parts) == 2:
-        scenario = RealtimeScenario(int(parts[1]))
-        return check_realtime_scenario(scenario, system_mode=system_mode)
-    raise ValueError(
-        f"unrecognised scenario name {name!r}; expected "
-        "'kernel-<size>-<seed>', 'system-<seed>', 'fault-<kind>-<seed>' "
-        "or 'realtime-<seed>'"
-    )
+    scenario = RealtimeScenario(seed)
+    return check_realtime_scenario(scenario, system_mode=system_mode)

@@ -5,15 +5,19 @@ generated whole-system step function must be byte-identical — waveforms,
 traces, states, kernel statistics — to the per-FSM compiled tier and the
 interpreter, on both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
-scenario families), plus the machinery around it: the differential
-shadow oracle, batched multi-scenario execution, source caching, the
-session's lint refusal path and the tier counters.
+scenario families), plus the machinery around it: batched multi-scenario
+execution, source caching, the session's lint refusal path and the tier
+counters.
 
-The full 334-scenario sweep across all three tiers runs via
+The fused step's oracle is the separate-session tier matrix: the full
+334-scenario sweep across all three tiers runs via
 ``python -m repro.testkit --system-mode differential``; here the same
-check runs at quick scale so tier-1 catches a divergence early.
+check runs at quick scale so tier-1 catches a divergence early, and
+seeded codegen faults show it catches what it must.  ``differential`` is
+a value of that matrix only, never a session tier.
 """
 
+import weakref
 from collections import OrderedDict
 
 import pytest
@@ -30,7 +34,7 @@ from repro.ir.syscompile import SOURCE_FORMAT, SystemProgram
 from repro.lint import lint_model
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.cache import ArtifactCache
-from repro.sweep.jobs import CosimJob
+from repro.sweep.jobs import ConformanceJob, CosimJob
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint
 from repro.testkit.scenarios import (
@@ -132,73 +136,27 @@ class TestSessionModes:
         assert session.system_tier == "per-fsm"
         assert "detect_races" in session.system_fallback_reason
 
-    @pytest.mark.parametrize("system_mode", ["fused", "differential"])
-    def test_system_without_fused_candidates_runs(self, system_mode):
+    def test_system_without_fused_candidates_runs(self):
         # Seed 100020 is all-software on shared registers: no controller or
-        # hardware FSM to fuse, so the generated shadow body is empty.
+        # hardware FSM to fuse, so the generated step body is empty.
         model = generate_system(100020).build_model()
         program = compile_system(model)
         assert program.candidates == [] and program.process_count == 0
-        record, _ = CosimJob(100020, system_mode=system_mode).execute()
+        record, _ = CosimJob(100020, system_mode="fused").execute()
         assert record["error"] is None
         assert record["functional_problems"] == []
         assert record["sw_finished_all"] is True
-        assert record["system_mode"] == system_mode
+        assert record["system_mode"] == "fused"
 
-    def test_differential_session_runs_clean_on_a_real_model(self):
-        session = CosimSession(generate_system(3).build_model(),
-                               system_mode="differential")
-        session.run(until=20_000)
-        assert session.system_tier == "differential"
-        checker = session.system_checker
-        assert checker.checked_edges > 0
-        assert checker.compared_steps > 0
-
-    def test_differential_flags_a_diverging_prediction(self):
-        # Unit-level: a shadow whose prediction disagrees with what the
-        # per-FSM instance actually did must raise, naming the instance.
-        class _Clock:
-            _value = 1
-            last_changed = 0
-
-        class _Instance:
-            current = "A"
-            env = {}
-            transitions_fired = 0
-
-        def shadow(pre, out):
-            out[0] = ("B", {}, 1)  # predicts a transition that never fired
-
-        from repro.ir.syscompile import ShadowChecker
-
-        checker = ShadowChecker(_Clock(), [_Instance()], ["Net0.Ctrl"],
-                                shadow)
-        checker.pre()
-        with pytest.raises(SimulationError,
-                           match="system differential divergence"):
-            checker.post()
-
-    def test_differential_skips_unpredicted_instances(self):
-        class _Clock:
-            _value = 1
-            last_changed = 0
-
-        class _Instance:
-            current = "A"
-            env = {}
-            transitions_fired = 0
-
-        def shadow(pre, out):
-            out[0] = None  # service-calling edge: comparison is skipped
-
-        from repro.ir.syscompile import ShadowChecker
-
-        checker = ShadowChecker(_Clock(), [_Instance()], ["Net0.Ctrl"],
-                                shadow)
-        checker.pre()
-        checker.post()
-        assert checker.checked_edges == 1
-        assert checker.compared_steps == 0
+    def test_differential_is_a_matrix_value_not_a_session_tier(self):
+        assert syscompile.SYSTEM_MODES == ("fused", "per-fsm", "interpreted")
+        model = generate_system(0).build_model()
+        with pytest.raises(SimulationError, match="differential"):
+            CosimSession(model, system_mode="differential")
+        with pytest.raises(ValueError, match="differential"):
+            CosimJob(0, system_mode="differential")
+        job = ConformanceJob("system-0", system_mode="differential")
+        assert job.spec()["system_mode"] == "differential"
 
 
 class TestCheckpointUnderFused:
@@ -322,12 +280,11 @@ class TestLintPreflight:
         builder, rule = MUTANTS["dup-writer"]
         return builder()
 
-    @pytest.mark.parametrize("system_mode", ["fused", "differential"])
-    def test_lint_errors_refuse_fusion_at_session_level(self, system_mode):
+    def test_lint_errors_refuse_fusion_at_session_level(self):
         model = self._mutant_model()
         errors = lint_model(model).errors
         assert errors
-        session = CosimSession(model, system_mode=system_mode).build()
+        session = CosimSession(model, system_mode="fused").build()
         assert session.system_tier == "per-fsm"
         assert session.system_program is None
         assert session.system_fallback_reason == (
@@ -344,3 +301,56 @@ class TestLintPreflight:
         session.build()
         assert session.system_tier == "per-fsm"
         assert "lint errors" in session.system_fallback_reason
+
+
+class TestSeededFusedFault:
+    """The separate-session tier matrix catches faults in fused codegen.
+
+    ``system_mode="differential"`` runs the production fused step in its
+    own session and compares it with the per-FSM and interpreted tiers.
+    Each case seeds a fault into the fused codegen alone; a fresh program
+    and code cache force regeneration, because the model digest does not
+    change.
+    """
+
+    # A single FIFO pair whose 4 words wrap the depth-4 ring pointers
+    # through ``(TAIL + 1) mod 4``.
+    SEED = 13
+
+    @pytest.fixture(autouse=True)
+    def _fresh_program_caches(self, monkeypatch):
+        monkeypatch.setattr(syscompile, "_SYSTEM_CACHE",
+                            weakref.WeakKeyDictionary())
+        monkeypatch.setattr(syscompile, "_CODE_CACHE", OrderedDict())
+
+    def _check(self):
+        return check_cosim_conformance(generate_system(self.SEED),
+                                       system_mode="differential")
+
+    def test_clean_fused_tier_has_no_divergence(self):
+        assert self._check() == []
+
+    def test_rounding_mod_operator_diverges(self, monkeypatch):
+        # The remainder of a rounding division: right for a < b / 2 only.
+        templates = dict(syscompile._BINOP_TEMPLATES)
+        templates["mod"] = "(({0}) - ({1}) * round(({0}) / ({1})))"
+        monkeypatch.setattr(syscompile, "_BINOP_TEMPLATES", templates)
+        problems = self._check()
+        assert any("production/fused vs production/per-fsm divergence"
+                   in problem for problem in problems), problems
+
+    def test_dropped_transaction_count_diverges(self, monkeypatch):
+        # The fused step stops folding its writes into the kernel's
+        # ``transactions`` statistic; only the production step has it.
+        flush = syscompile._FragmentEmitter.flush
+
+        def flush_without_tx(self, depth):
+            self._tx = 0
+            flush(self, depth)
+
+        monkeypatch.setattr(syscompile._FragmentEmitter, "flush",
+                            flush_without_tx)
+        problems = self._check()
+        assert any("production/fused vs production/per-fsm divergence: "
+                   "statistics differs" in problem
+                   for problem in problems), problems

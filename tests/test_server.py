@@ -65,13 +65,14 @@ class TestJobLifecycle:
         assert conformance["ok"] is True
 
     def test_failed_job_reports_its_error(self, running_service):
-        # An unparsable conformance scenario raises inside the worker; the
-        # error degrades to a failed record, not a dead service.
+        # A placement naming a module the generated system lacks raises
+        # inside the worker; the error degrades to a failed record, not a
+        # dead service.
         record = running_service.submit_spec(
-            {"kind": "conformance", "scenario": "not-a-scenario"})
+            {"kind": "cosyn", "seed": 1, "hw_modules": ["NoSuchModule"]})
         _wait_done(running_service, [record])
         assert record.state == "failed"
-        assert "unrecognised scenario" in record.error
+        assert "NoSuchModule" in record.error
 
     def test_warm_cacheable_resubmission_is_served_from_cache(
             self, running_service):
@@ -184,6 +185,13 @@ class TestQueueShape:
             service.submit_spec({"kind": "cosim", "seed": 1,
                                  "fsm_mode": "compiled"})
         assert service.jobs() == []
+
+    def test_schedule_with_differential_cosim_is_refused_at_load(self):
+        # differential is a conformance-matrix value, not a session tier.
+        with pytest.raises(ValueError, match="differential"):
+            JobService(schedules=[{"jobs": [
+                {"kind": "cosim", "seed": 1,
+                 "system_mode": "differential"}]}])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -365,6 +373,17 @@ class TestHttpServer:
                                    {"kind": "cosim", "seed": 1,
                                     "kernel": "bogus"})
         assert status == 400 and "unknown kernel" in reply["error"]
+        for spec, reason in (
+                ({"kind": "conformance", "scenario": "bogus-1"},
+                 "unrecognised scenario name"),
+                ({"kind": "cosyn", "seed": 1, "platform": "bogus"},
+                 "unknown platform"),
+                ({"kind": "dse", "seed": 1, "platforms": ["bogus"]},
+                 "unknown platform"),
+                ({"kind": "cosim", "seed": 1, "system_mode": "differential"},
+                 "unknown system_mode")):
+            status, reply = self._call(endpoint, "POST", "/jobs", spec)
+            assert status == 400 and reason in reply["error"], reply
         status, reply = self._call(endpoint, "POST", "/jobs", [])
         assert status == 400
         status, reply = self._call(endpoint, "GET", "/nope")

@@ -127,15 +127,17 @@ class TestArtifactCaching:
 
 class TestJobBehaviour:
     def test_error_jobs_become_records_not_aborts(self):
+        # The generated system has no module of that name: only running
+        # the job can tell.
         jobs = [KernelJob("tiny", 0),
-                CosynJob(0, platform="no_such_platform"),
+                CosynJob(0, hw_modules=["NoSuchModule"]),
                 KernelJob("tiny", 1)]
         serial = SweepService(jobs, workers=1).run()
         pooled = SweepService(jobs, workers=2).run()
         assert serial.to_json() == pooled.to_json()
         assert not serial.ok
         assert len(serial.errors) == 1
-        assert "no_such_platform" in serial.errors[0]["error"]
+        assert "NoSuchModule" in serial.errors[0]["error"]
         assert serial.records[0]["error"] is None
         assert serial.records[2]["error"] is None
 
@@ -174,6 +176,36 @@ class TestJobBehaviour:
         # Refused when the job is built, not later inside a worker.
         with pytest.raises(ValueError, match="'bogus'"):
             job_from_dict(spec)
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"kind": "conformance", "scenario": "bogus-1"},
+         "unrecognised scenario name"),
+        ({"kind": "conformance", "scenario": "system-x"}, "not an integer"),
+        ({"kind": "conformance", "scenario": "kernel-huge-1"},
+         "unknown size 'huge'"),
+        ({"kind": "conformance", "scenario": "fault-bogus-1"},
+         "unknown fault kind 'bogus'"),
+        ({"kind": "cosyn", "seed": 1, "platform": "bogus"},
+         "unknown platform 'bogus'"),
+        ({"kind": "dse", "seed": 1, "platforms": ["pc_at_fpga", "bogus"]},
+         "unknown platform 'bogus'"),
+        ({"kind": "cosim", "seed": 1, "system_mode": "differential"},
+         "unknown system_mode 'differential'"),
+    ])
+    def test_outside_input_checked_at_construction(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            job_from_dict(spec)
+
+    def test_conformance_accepts_every_matrix_value(self):
+        from repro.testkit import CONFORMANCE_SYSTEM_MODES
+
+        assert CONFORMANCE_SYSTEM_MODES == ("fused", "per-fsm",
+                                            "interpreted", "differential")
+        for mode in CONFORMANCE_SYSTEM_MODES:
+            job = job_from_dict({"kind": "conformance",
+                                 "scenario": "fault-stuck_handshake-1",
+                                 "system_mode": mode})
+            assert job.spec()["system_mode"] == mode
 
     @pytest.mark.parametrize("spec", [
         {"kind": "cosim", "seed": 1, "fsm_mode": "interpreted"},

@@ -21,6 +21,7 @@ from repro.testkit.runner import (
     QUICK_FAULT_SEEDS,
     QUICK_KERNEL_TIER,
     QUICK_REALTIME_MODELS,
+    parse_scenario_name,
     replay,
     run_conformance,
 )
@@ -90,6 +91,17 @@ class TestKit:
         with pytest.raises(ValueError):
             replay("bogus-name")
 
+    def test_scenario_names_parse_before_anything_runs(self):
+        assert parse_scenario_name("kernel-tiny-3") == ("kernel", "tiny", 3)
+        assert parse_scenario_name("system-12") == ("system", None, 12)
+        assert parse_scenario_name("fault-stuck_handshake-1") \
+            == ("fault", "stuck_handshake", 1)
+        assert parse_scenario_name("realtime-0") == ("realtime", None, 0)
+        for name in ("bogus-1", "system", "system-1-2", "system-x",
+                     "kernel-huge-1", "fault-bogus-1", "realtime-+1"):
+            with pytest.raises(ValueError):
+                parse_scenario_name(name)
+
     def test_report_aggregation(self):
         report = run_conformance(kernel_tier=(("tiny", 2),), cosim_models=1,
                                  cosyn_models=1, fault_seeds=0,
@@ -155,6 +167,15 @@ class TestWorkloadSourceHook:
             relays = sorted(name for name in model.modules
                             if name.startswith("Relay"))
             assert sorted(system.sw_only) == relays
+
+    def test_cli_refuses_differential_coverage_campaign(self, capsys):
+        # A campaign runs one session per scenario, and no session tier is
+        # called differential.
+        from repro.testkit.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["--coverage", "--system-mode", "differential"])
+        assert "conformance-tier matrix" in capsys.readouterr().err
 
     def test_emit_models_cli_prints_json_without_oracles(self, capsys):
         import json
